@@ -236,8 +236,8 @@ fn export_observe(key: &str, report: Option<&flash::ObserveReport>) {
 
 /// `FLASH_NO_MEMO=1` disables the memo cache and prefetch deduplication,
 /// recreating the pre-runner behaviour where every artifact re-simulated
-/// its own points. A measurement aid for quantifying the dedup win
-/// (`benches/`, BENCH_PR1.json); not intended for normal use.
+/// its own points. A measurement aid for quantifying the dedup win;
+/// not intended for normal use.
 fn memo_disabled() -> bool {
     std::env::var("FLASH_NO_MEMO").is_ok_and(|v| v == "1")
 }

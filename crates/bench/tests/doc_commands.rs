@@ -171,10 +171,10 @@ fn observe_breakdown_stdout_matches_golden_across_shards_and_backends() {
 }
 
 /// `repro_all` — the full paper-reproduction sweep — is pinned against
-/// its golden transcript under the sharded engine. (The release-mode
-/// `bench_pr8` bin re-checks this under the default serial config on
-/// every CI perf-smoke run; here the 4-shard config exercises the
-/// boundary machinery end to end.)
+/// its golden transcript under the sharded engine. (perfbench's
+/// `paper_matrix` workload re-checks this under the default serial
+/// config on every CI perf-smoke run; here the 4-shard config exercises
+/// the boundary machinery end to end.)
 #[test]
 fn repro_all_stdout_matches_golden_sharded() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))

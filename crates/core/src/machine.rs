@@ -1854,8 +1854,9 @@ impl Machine {
                 )
             })
             .collect();
-        // Apply the configured PP backend (a host-performance knob;
-        // timing is backend-invariant, so this never changes results).
+        // Select the configured PP backend; chips start on the emulator,
+        // so this is the one place a machine picks it (a host-performance
+        // knob; timing is backend-invariant, so this never changes results).
         for chip in &mut chips {
             chip.set_pp_backend(cfg.pp_backend);
         }

@@ -45,7 +45,7 @@ pub enum PpBackend {
     /// (`flash_pp::emu`).
     Emulated,
     /// Handlers pre-translated to native basic-block closures
-    /// (`flash_pp::translate`); the default.
+    /// (`flash_pp::translate`); the machine default.
     Translated,
 }
 
@@ -64,12 +64,6 @@ impl PpBackend {
             Ok("emu") | Ok("emulated") => PpBackend::Emulated,
             Ok(v) => panic!("FLASH_PP_BACKEND must be `emu` or `translated`, got `{v}`"),
         })
-    }
-}
-
-impl Default for PpBackend {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -353,7 +347,9 @@ impl MagicChip {
     /// `program` must be provided for [`ControllerKind::FlashEmulated`]
     /// (obtain it from [`flash_protocol::handlers::compile_shared`], which
     /// compiles once per codegen variant and shares it across nodes,
-    /// machines, and worker threads).
+    /// machines, and worker threads). The chip starts on
+    /// [`PpBackend::Emulated`]; [`MagicChip::set_pp_backend`] selects
+    /// another backend.
     pub fn new(
         kind: ControllerKind,
         node: NodeId,
@@ -373,10 +369,6 @@ impl MagicChip {
             ControllerKind::Ideal => None,
             _ => Some(1),
         };
-        let backend = PpBackend::from_env();
-        let translated = (kind == ControllerKind::FlashEmulated
-            && backend == PpBackend::Translated)
-            .then(|| translate_shared(program.as_ref().expect("checked above")));
         MagicChip {
             kind,
             node,
@@ -386,8 +378,8 @@ impl MagicChip {
                 MagicTimings::flash()
             },
             program,
-            backend,
-            translated,
+            backend: PpBackend::Emulated,
+            translated: None,
             entry_pcs: flash_engine::FastMap::default(),
             pp_regs: Regs::new(),
             pp_sink: EffectSink::new(),
@@ -1251,6 +1243,15 @@ mod tests {
             }
             assert_eq!(plain.pp_busy_cycles(), observed.pp_busy_cycles());
         }
+    }
+
+    /// A fresh chip runs the reference emulator and translates nothing,
+    /// whatever `FLASH_PP_BACKEND` says: the machine selects the backend.
+    #[test]
+    fn fresh_chip_starts_on_the_emulator() {
+        let chip = mk_chip(ControllerKind::FlashEmulated);
+        assert_eq!(chip.pp_backend(), PpBackend::Emulated);
+        assert!(chip.translated.is_none());
     }
 
     /// The backend is a host-performance knob: the same message sequence

@@ -34,7 +34,7 @@
 //!   the emulator wholesale, as do entries into the middle of a block.
 
 use crate::emu::{
-    self, EffectKind, EffectSink, EmuError, Env, HandlerRun, OutMsg, Regs, RunStats, TimedEffect,
+    self, EffectKind, EffectSink, EmuError, Env, OutMsg, Regs, RunStats, TimedEffect,
 };
 use crate::isa::{AluOp, BrCond, FieldOp, Instr, MemOpKind, MemSize, Reg, SendTarget, NUM_REGS};
 use crate::prog::Program;
@@ -356,27 +356,6 @@ impl Translated {
                 BlockExit::Goto(b) => bi = b,
             }
         }
-    }
-
-    /// Allocating convenience wrapper mirroring [`emu::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`emu::run`].
-    pub fn run(
-        &self,
-        entry: usize,
-        env: &mut (impl Env + ?Sized),
-        pair_budget: u64,
-    ) -> Result<HandlerRun, EmuError> {
-        let mut regs = Regs::new();
-        let mut sink = EffectSink::new();
-        let (exec_cycles, stats) = self.run_into(entry, env, pair_budget, &mut regs, &mut sink)?;
-        Ok(HandlerRun {
-            effects: sink.into_effects(),
-            exec_cycles,
-            stats,
-        })
     }
 }
 
@@ -828,9 +807,26 @@ fn exec_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emu::{FlatEnv, DEFAULT_PAIR_BUDGET};
+    use crate::emu::{FlatEnv, HandlerRun, DEFAULT_PAIR_BUDGET};
     use crate::prog::Pair;
     use crate::{build, CodegenOptions};
+
+    /// `t.run_into` with fresh scratch state, shaped like [`emu::run`].
+    fn run_translated(
+        t: &Translated,
+        entry: usize,
+        env: &mut FlatEnv,
+        budget: u64,
+    ) -> Result<HandlerRun, EmuError> {
+        let mut regs = Regs::new();
+        let mut sink = EffectSink::new();
+        let (exec_cycles, stats) = t.run_into(entry, env, budget, &mut regs, &mut sink)?;
+        Ok(HandlerRun {
+            effects: sink.into_effects(),
+            exec_cycles,
+            stats,
+        })
+    }
 
     fn translated(src: &str) -> (Arc<Program>, Translated) {
         let p = Arc::new(build(src, CodegenOptions::magic()).unwrap());
@@ -846,7 +842,7 @@ mod tests {
         let mut env_e = FlatEnv::new(512);
         let mut env_t = env_e.clone();
         let re = emu::run(&p, pc, &mut env_e, budget);
-        let rt = t.run(pc, &mut env_t, budget);
+        let rt = run_translated(&t, pc, &mut env_t, budget);
         match (re, rt) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.exec_cycles, b.exec_cycles);
@@ -945,7 +941,7 @@ loop:
         let mut env_t = FlatEnv::new(0);
         assert_eq!(
             emu::run(&p, 0, &mut env_e, 10).unwrap_err(),
-            t.run(0, &mut env_t, 10).unwrap_err()
+            run_translated(&t, 0, &mut env_t, 10).unwrap_err()
         );
     }
 
@@ -960,7 +956,7 @@ loop:
         let mut env_e = FlatEnv::new(64);
         let mut env_t = FlatEnv::new(64);
         let a = emu::run(&p, mid, &mut env_e, 100).unwrap();
-        let b = t.run(mid, &mut env_t, 100).unwrap();
+        let b = run_translated(&t, mid, &mut env_t, 100).unwrap();
         assert_eq!(a.exec_cycles, b.exec_cycles);
         assert_eq!(a.stats, b.stats);
         assert_eq!(env_e.peek64(8), env_t.peek64(8));

@@ -11,6 +11,7 @@
 //! On a fully healthy run nothing extra is printed and the exit status is
 //! zero — repro output stays byte-identical to the pre-harness binaries.
 
+use crate::isolate::catch;
 use crate::runner::{drain_failures, JobFailure};
 use std::process::ExitCode;
 
@@ -24,21 +25,10 @@ struct ArtifactFailure {
 /// Runs one artifact render with panic isolation, returning the panic
 /// message on failure.
 fn run_artifact(name: &'static str, f: impl FnOnce()) -> Option<ArtifactFailure> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .err()
-        .map(|payload| {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            ArtifactFailure {
-                name,
-                error: msg.lines().next().unwrap_or("panic").to_string(),
-            }
-        })
+    catch(f).err().map(|e| ArtifactFailure {
+        name,
+        error: e.to_string(),
+    })
 }
 
 /// Renders the failure tail: the per-job failure table from the

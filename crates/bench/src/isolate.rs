@@ -1,15 +1,17 @@
-//! Single-call panic and wall-clock isolation.
+//! Single-call panic and wall-clock isolation — the one isolation
+//! primitive in `flash-bench`.
 //!
-//! The run-matrix supervisor in [`crate::runner`] hardens whole job
-//! *lists*; the delta debugger in `flash-minimize` needs the same
-//! protection for one candidate evaluation at a time — a shrunk candidate
-//! may legitimately wedge forever (that is often exactly the failure being
-//! minimized, with the watchdog shrunk too far to catch it) or panic
-//! inside the simulator, and neither may take the search down. [`call`]
-//! reuses the supervisor's idiom: the closure runs `catch_unwind`-wrapped
-//! on a *detached* worker thread whose result comes back over a channel
-//! with `recv_timeout`; an overdue worker is abandoned, never joined, so
-//! a wedged candidate costs the search one timeout, not a hang.
+//! The run-matrix supervisor in [`crate::runner`] runs every job attempt
+//! through [`call`], and the repro harness in [`crate::harness`] renders
+//! each artifact through [`catch`]. The delta debugger in
+//! `flash-minimize` evaluates one candidate at a time through [`call`]: a
+//! shrunk candidate may legitimately wedge forever (that is often exactly
+//! the failure being minimized, with the watchdog shrunk too far to catch
+//! it) or panic inside the simulator, and neither may take the search
+//! down. With a limit, [`call`] runs the closure under [`catch`] on a
+//! *detached* thread whose result comes back over a channel with
+//! `recv_timeout`; an overdue thread is abandoned, never joined, so a
+//! wedged closure costs its caller one timeout, not a hang.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -44,14 +46,33 @@ fn first_line_of(payload: Box<dyn std::any::Any + Send>) -> String {
     msg.lines().next().unwrap_or("panic").to_string()
 }
 
+/// Runs `f` inline on the caller's thread, catching a panic as
+/// [`IsolateError::Panicked`] with the payload's first line.
+///
+/// # Examples
+///
+/// ```
+/// use flash_bench::isolate::{catch, IsolateError};
+///
+/// assert_eq!(catch(|| 2 + 2), Ok(4));
+/// assert_eq!(
+///     catch(|| -> u32 { panic!("boom\nwith detail") }),
+///     Err(IsolateError::Panicked("boom".into()))
+/// );
+/// ```
+pub fn catch<T>(f: impl FnOnce() -> T) -> Result<T, IsolateError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|p| IsolateError::Panicked(first_line_of(p)))
+}
+
 /// Runs `f` with panic isolation and an optional wall-clock limit.
 ///
-/// With `timeout = None` the closure runs inline on the caller's thread
-/// (panic-isolated only — an unbounded closure can still hang, so searches
-/// over potentially-wedging candidates should pass a limit or rely on the
-/// simulation's own watchdog/budget). With a limit, the closure runs on a
-/// detached thread: if the deadline passes, the thread is abandoned and
-/// [`IsolateError::TimedOut`] returned.
+/// With `timeout = None` the closure runs under [`catch`] on the
+/// caller's thread (panic-isolated only — an unbounded closure can still
+/// hang, so searches over potentially-wedging candidates should pass a
+/// limit or rely on the simulation's own watchdog/budget). With a limit,
+/// it runs under [`catch`] on a detached thread: if the deadline passes,
+/// the thread is abandoned and [`IsolateError::TimedOut`] returned.
 ///
 /// # Examples
 ///
@@ -75,14 +96,11 @@ where
     F: FnOnce() -> T + Send + 'static,
 {
     let Some(limit) = timeout else {
-        return std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .map_err(|p| IsolateError::Panicked(first_line_of(p)));
+        return catch(f);
     };
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .map_err(|p| IsolateError::Panicked(first_line_of(p)));
-        let _ = tx.send(result);
+        let _ = tx.send(catch(f));
     });
     match rx.recv_timeout(limit) {
         Ok(result) => result,

@@ -6,7 +6,7 @@
 //! re-measure, and the Table 3.3 latency harness is consulted by three
 //! artifacts. This module enumerates every `(workload, config)` point a set
 //! of artifacts needs as a [`Job`], deduplicates the list, executes it
-//! across `std::thread::scope` workers, and memoizes each
+//! across a `std::thread::scope` worker pool, and memoizes each
 //! [`MachineReport`] in a process-wide cache so every unique point
 //! simulates exactly once per invocation.
 //!
@@ -18,21 +18,28 @@
 //! byte-identical to the serial path for any worker count.
 //!
 //! Worker count: `FLASH_JOBS=n` forces `n` workers; the default is
-//! [`std::thread::available_parallelism`]. `FLASH_JOBS=1` runs every job
-//! inline on the caller's thread (no threads are spawned).
+//! [`std::thread::available_parallelism`]. The caller's thread is one of
+//! the workers, so `FLASH_JOBS=1` spawns no pool threads.
+//!
+//! Supervision: every job attempt runs under [`crate::isolate::call`],
+//! so a panicking attempt is caught and, with `FLASH_JOB_TIMEOUT` set, an
+//! overdue attempt is abandoned on its own detached thread; either is
+//! retried, and a job that fails every attempt is recorded for
+//! [`drain_failures`] instead of killing the matrix.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 use flash::{ControllerKind, Machine, MachineConfig, MachineReport, RunResult};
 use flash_workloads::{budget, by_name, run_workload, Fft, OsWorkload};
 
+use crate::isolate;
 use crate::{mdc_stress_stream, MissClass};
 
-/// Locks a mutex, tolerating poisoning: a panicking job (isolated by the
-/// supervisor's `catch_unwind`) must not take the whole memo cache down
+/// Locks a mutex, tolerating poisoning: a panicking job (isolated by
+/// [`crate::isolate`]) must not take the whole memo cache down
 /// with it. Cache values are only written complete, so the inner state is
 /// always usable.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -150,9 +157,8 @@ impl Job {
         }
     }
 
-    /// Executes this job through the memo cache (or uncached when
-    /// `FLASH_NO_MEMO=1`), discarding the result — it is retrievable via
-    /// [`cached_run`] / [`cached_latency`].
+    /// Executes this job through the memo cache, discarding the result —
+    /// it is retrievable via [`cached_run`] / [`cached_latency`].
     pub fn run(&self) {
         match self {
             Job::Run(spec) => {
@@ -234,14 +240,6 @@ fn export_observe(key: &str, report: Option<&flash::ObserveReport>) {
     }
 }
 
-/// `FLASH_NO_MEMO=1` disables the memo cache and prefetch deduplication,
-/// recreating the pre-runner behaviour where every artifact re-simulated
-/// its own points. A measurement aid for quantifying the dedup win;
-/// not intended for normal use.
-fn memo_disabled() -> bool {
-    std::env::var("FLASH_NO_MEMO").is_ok_and(|v| v == "1")
-}
-
 /// Worker count: `FLASH_JOBS` if set, otherwise the machine's available
 /// parallelism (at least 1).
 pub fn jobs() -> usize {
@@ -272,9 +270,6 @@ pub fn cached_run_count() -> usize {
 /// compute it and the first insertion wins — harmless, because the
 /// simulation is deterministic and both results are identical.
 pub fn cached_run(spec: &RunSpec) -> MachineReport {
-    if memo_disabled() {
-        return spec.work.execute(&spec.cfg);
-    }
     let key = spec.key();
     if let Some(r) = lock(run_cache()).get(&key) {
         return r.clone();
@@ -299,9 +294,6 @@ pub fn cached_run(spec: &RunSpec) -> MachineReport {
 
 /// Runs (or recalls) one Table 3.3 latency measurement.
 pub fn cached_latency(kind: ControllerKind, class: MissClass) -> f64 {
-    if memo_disabled() {
-        return crate::measure_class_uncached(kind, class);
-    }
     let key = Job::Latency(kind, class).key();
     if let Some(v) = lock(lat_cache()).get(&key) {
         return *v;
@@ -349,7 +341,8 @@ fn maybe_inject_hang(key: &str) {
 pub struct JobFailure {
     /// The job's memo key (identifies the simulation point).
     pub key: String,
-    /// First line of the panic payload, or a timeout note.
+    /// The last attempt's [`isolate::IsolateError`], rendered: the panic
+    /// payload's first line, or the timeout.
     pub error: String,
     /// Attempts made (1 + retries).
     pub attempts: u32,
@@ -373,9 +366,10 @@ pub fn drain_failures() -> Vec<JobFailure> {
 /// Supervisor policy: how patient to be with a job before writing it off.
 #[derive(Debug, Clone, Copy)]
 pub struct SuperviseOptions {
-    /// Wall-clock limit per job *attempt*. `None` (the default) trusts
-    /// the in-simulation cycle budget. Only enforced when jobs run on
-    /// worker threads (`workers > 1`): the inline path cannot abandon its
+    /// Wall-clock limit per job *attempt*, at any worker count: the
+    /// attempt runs on its own [`isolate::call`] thread, which is
+    /// abandoned when overdue. `None` (the default) trusts the
+    /// in-simulation cycle budget and runs each attempt on the worker's
     /// own thread.
     pub timeout: Option<Duration>,
     /// Extra attempts after a panicked or overdue first attempt.
@@ -399,21 +393,6 @@ impl SuperviseOptions {
     }
 }
 
-/// Runs one attempt of `job` with panic isolation, returning the panic
-/// payload's first line on failure.
-fn run_attempt(job: &Job) -> Result<(), String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run())).map_err(|payload| {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        msg.lines().next().unwrap_or("panic").to_string()
-    })
-}
-
 /// Prefetches a job list with the default worker count ([`jobs`]) and the
 /// environment's supervision policy. Returns the number of points
 /// actually simulated (attempted points count even if they ultimately
@@ -428,200 +407,58 @@ pub fn prefetch_with_jobs(list: &[Job], workers: usize) -> usize {
 }
 
 /// Deduplicates `list`, drops already-cached points, and executes the rest
-/// under the hardened supervisor: each attempt is `catch_unwind`-isolated,
-/// panicked or overdue attempts are retried per `opts`, and jobs that fail
-/// every attempt are recorded for [`drain_failures`] instead of killing
-/// the matrix. `workers <= 1` runs inline on the caller's thread (no
-/// threads, no wall-clock timeouts). Returns the number of points
-/// actually simulated.
+/// on a pool of `workers` threads, the caller's thread included. Threads
+/// take jobs in list order from one shared cursor and run each with
+/// panic isolation, the wall-clock limit and the retries of `opts`.
+/// Returns the number of points actually simulated (attempted points
+/// count even if they ultimately failed — see [`drain_failures`]).
 pub fn prefetch_supervised(list: &[Job], workers: usize, opts: &SuperviseOptions) -> usize {
-    if memo_disabled() {
-        // Pre-runner behaviour: nothing is prefetched, every artifact
-        // re-simulates its own points at render time.
-        return 0;
-    }
     let mut seen = HashSet::new();
-    let mut pending: Vec<Job> = Vec::new();
-    for job in list {
-        let key = job.key();
-        if !job.is_cached(&key) && seen.insert(key) {
-            pending.push(job.clone());
+    let pending: Vec<&Job> = list
+        .iter()
+        .filter(|job| {
+            let key = job.key();
+            !job.is_cached(&key) && seen.insert(key)
+        })
+        .collect();
+    // `Relaxed` suffices: the cursor only hands out indices into the
+    // immutable `pending`, publishing no other data.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        while let Some(job) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            supervise_job(job, opts);
         }
-    }
-    if pending.is_empty() {
-        return 0;
-    }
-    let workers = workers.max(1).min(pending.len());
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers.min(pending.len()) {
+            s.spawn(work);
+        }
+        work();
+    });
+    pending.len()
+}
+
+/// Runs `job` under [`isolate::call`] until an attempt succeeds or
+/// `opts.retries` retries are spent; a job that fails every attempt is
+/// recorded for [`drain_failures`]. An abandoned overdue attempt may
+/// still finish later and fill the memo cache — harmless, because
+/// simulations are deterministic.
+fn supervise_job(job: &Job, opts: &SuperviseOptions) {
     let max_attempts = opts.retries.saturating_add(1);
-    if workers == 1 {
-        for job in &pending {
-            let mut attempt = 1;
-            loop {
-                match run_attempt(job) {
-                    Ok(()) => break,
-                    Err(e) if attempt < max_attempts => {
-                        eprintln!("[runner] job panicked (attempt {attempt}): {e}; retrying");
-                        attempt += 1;
-                    }
-                    Err(e) => {
-                        record_failure(JobFailure {
-                            key: job.key(),
-                            error: e,
-                            attempts: attempt,
-                        });
-                        break;
-                    }
-                }
+    for attempt in 1..=max_attempts {
+        let owned = job.clone();
+        match isolate::call(opts.timeout, move || owned.run()) {
+            Ok(()) => return,
+            Err(e) if attempt < max_attempts => {
+                eprintln!("[runner] job {e} (attempt {attempt}); retrying");
             }
-        }
-        return pending.len();
-    }
-    supervise(pending, workers, max_attempts, opts.timeout)
-}
-
-/// Messages from workers to the supervisor.
-enum WorkerMsg {
-    Started {
-        job: usize,
-        attempt: u32,
-    },
-    Finished {
-        job: usize,
-        attempt: u32,
-        result: Result<(), String>,
-    },
-}
-
-fn spawn_worker(
-    jobs: Arc<Vec<Job>>,
-    queue: Arc<Mutex<VecDeque<(usize, u32)>>>,
-    tx: mpsc::Sender<WorkerMsg>,
-) {
-    std::thread::spawn(move || loop {
-        let item = lock(&queue).pop_front();
-        let Some((job, attempt)) = item else { break };
-        if tx.send(WorkerMsg::Started { job, attempt }).is_err() {
-            break;
-        }
-        let result = run_attempt(&jobs[job]);
-        let fin = WorkerMsg::Finished {
-            job,
-            attempt,
-            result,
-        };
-        if tx.send(fin).is_err() {
-            break;
-        }
-    });
-}
-
-/// The threaded supervisor. Worker threads are detached, not scoped: a
-/// worker stuck inside a runaway simulation is *abandoned* (its job is
-/// retried or failed by timeout, and a replacement worker keeps the pool
-/// at strength) rather than joined — a scoped pool would hang the whole
-/// matrix on one wedged job. A late result from an abandoned worker still
-/// counts if its job is unresolved (the memo cache makes duplicates
-/// harmless: simulations are deterministic).
-fn supervise(
-    pending: Vec<Job>,
-    workers: usize,
-    max_attempts: u32,
-    timeout: Option<Duration>,
-) -> usize {
-    let total = pending.len();
-    let jobs = Arc::new(pending);
-    let queue: Arc<Mutex<VecDeque<(usize, u32)>>> =
-        Arc::new(Mutex::new((0..total).map(|i| (i, 1)).collect()));
-    let (tx, rx) = mpsc::channel();
-    for _ in 0..workers {
-        spawn_worker(jobs.clone(), queue.clone(), tx.clone());
-    }
-    let mut resolved = vec![false; total];
-    let mut unresolved = total;
-    // Last started attempt + start time, per in-flight job.
-    let mut in_flight: HashMap<usize, (u32, Instant)> = HashMap::new();
-    let poll = timeout.map_or(Duration::from_millis(200), |t| {
-        (t / 4).max(Duration::from_millis(10))
-    });
-    while unresolved > 0 {
-        match rx.recv_timeout(poll) {
-            Ok(WorkerMsg::Started { job, attempt }) => {
-                in_flight.insert(job, (attempt, Instant::now()));
-            }
-            Ok(WorkerMsg::Finished {
-                job,
-                attempt,
-                result,
-            }) => {
-                // Only clear the in-flight slot if it still belongs to
-                // this attempt (a late result from an abandoned worker
-                // must not clobber the retry's bookkeeping).
-                if in_flight.get(&job).is_some_and(|&(a, _)| a == attempt) {
-                    in_flight.remove(&job);
-                }
-                if resolved[job] {
-                    continue; // late result from an abandoned attempt
-                }
-                match result {
-                    Ok(()) => {
-                        resolved[job] = true;
-                        unresolved -= 1;
-                    }
-                    Err(e) if attempt < max_attempts => {
-                        eprintln!("[runner] job panicked (attempt {attempt}): {e}; retrying");
-                        lock(&queue).push_back((job, attempt + 1));
-                        spawn_worker(jobs.clone(), queue.clone(), tx.clone());
-                    }
-                    Err(e) => {
-                        resolved[job] = true;
-                        unresolved -= 1;
-                        record_failure(JobFailure {
-                            key: jobs[job].key(),
-                            error: e,
-                            attempts: attempt,
-                        });
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let Some(limit) = timeout else { continue };
-                let now = Instant::now();
-                let overdue: Vec<(usize, u32)> = in_flight
-                    .iter()
-                    .filter(|&(_, &(_, started))| now.duration_since(started) > limit)
-                    .map(|(&job, &(attempt, _))| (job, attempt))
-                    .collect();
-                for (job, attempt) in overdue {
-                    // Abandon the worker stuck on this attempt; a
-                    // replacement keeps the pool at strength.
-                    in_flight.remove(&job);
-                    if resolved[job] {
-                        continue;
-                    }
-                    if attempt < max_attempts {
-                        eprintln!(
-                            "[runner] job overdue after {limit:?} (attempt {attempt}); retrying"
-                        );
-                        lock(&queue).push_back((job, attempt + 1));
-                        spawn_worker(jobs.clone(), queue.clone(), tx.clone());
-                    } else {
-                        resolved[job] = true;
-                        unresolved -= 1;
-                        record_failure(JobFailure {
-                            key: jobs[job].key(),
-                            error: format!("timed out (> {limit:?} wall clock per attempt)"),
-                            attempts: attempt,
-                        });
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // Unreachable while the supervisor holds `tx`; defensive.
-                break;
-            }
+            Err(e) => record_failure(JobFailure {
+                key: job.key(),
+                error: e.to_string(),
+                attempts: attempt,
+            }),
         }
     }
-    total
 }
 
 #[cfg(test)]

@@ -33,82 +33,109 @@ fn run_job(app: &'static str, scale: u32) -> Job {
     })
 }
 
+/// The pool shapes under test: the caller's thread alone, and the caller
+/// plus one spawned worker. Each pass uses its own `scale`, so a point the
+/// memo cache kept from one pass cannot hide the next.
+const POOLS: [(usize, u32); 2] = [(1, 63), (2, 61)];
+
 #[test]
 fn injected_panic_is_isolated_retried_and_recorded() {
     let _g = env_lock().lock().unwrap_or_else(|e| e.into_inner());
-    clear_caches();
-    drain_failures();
-    // Poison exactly the FFT point; the LU point must be unaffected.
-    std::env::set_var("FLASH_INJECT_PANIC", "app: \"FFT\", procs: 2, scale: 63");
-    let jobs = vec![run_job("FFT", 63), run_job("LU", 63)];
-    let ran = prefetch_supervised(
-        &jobs,
-        2,
-        &SuperviseOptions {
-            timeout: None,
-            retries: 1,
-        },
-    );
-    std::env::remove_var("FLASH_INJECT_PANIC");
-    assert_eq!(ran, 2, "both points must be attempted");
-    let failures = drain_failures();
-    assert_eq!(
-        failures.len(),
-        1,
-        "only the poisoned job fails: {failures:?}"
-    );
-    assert!(failures[0].key.contains("FFT"));
-    assert_eq!(failures[0].attempts, 2, "one retry after the first panic");
-    assert!(failures[0].error.contains("FLASH_INJECT_PANIC"));
-    // The healthy point is cached; re-prefetching it is a no-op.
-    assert_eq!(
-        prefetch_supervised(&[run_job("LU", 63)], 2, &SuperviseOptions::from_env()),
-        0,
-        "healthy job must have been cached despite its neighbour panicking"
-    );
-    // The poisoned point was never cached — with the hook gone it runs
-    // cleanly, proving a failure does not poison the memo cache.
-    assert_eq!(
-        prefetch_supervised(&[run_job("FFT", 63)], 2, &SuperviseOptions::from_env()),
-        1
-    );
-    assert!(drain_failures().is_empty());
+    for (workers, scale) in POOLS {
+        clear_caches();
+        drain_failures();
+        // Poison exactly the FFT point; the LU point must be unaffected.
+        std::env::set_var(
+            "FLASH_INJECT_PANIC",
+            format!("app: \"FFT\", procs: 2, scale: {scale}"),
+        );
+        let jobs = vec![run_job("FFT", scale), run_job("LU", scale)];
+        let ran = prefetch_supervised(
+            &jobs,
+            workers,
+            &SuperviseOptions {
+                timeout: None,
+                retries: 1,
+            },
+        );
+        std::env::remove_var("FLASH_INJECT_PANIC");
+        assert_eq!(ran, 2, "workers={workers}: both points must be attempted");
+        let failures = drain_failures();
+        assert_eq!(
+            failures.len(),
+            1,
+            "workers={workers}: only the poisoned job fails: {failures:?}"
+        );
+        assert!(failures[0].key.contains("FFT"));
+        assert_eq!(failures[0].attempts, 2, "one retry after the first panic");
+        assert!(failures[0].error.contains("FLASH_INJECT_PANIC"));
+        // The healthy point is cached; re-prefetching it is a no-op.
+        assert_eq!(
+            prefetch_supervised(
+                &[run_job("LU", scale)],
+                workers,
+                &SuperviseOptions::from_env()
+            ),
+            0,
+            "workers={workers}: healthy job must have been cached despite its neighbour panicking"
+        );
+        // The poisoned point was never cached — with the hook gone it runs
+        // cleanly, proving a failure does not poison the memo cache.
+        assert_eq!(
+            prefetch_supervised(
+                &[run_job("FFT", scale)],
+                workers,
+                &SuperviseOptions::from_env()
+            ),
+            1
+        );
+        assert!(drain_failures().is_empty());
+    }
 }
 
 #[test]
 fn hung_job_times_out_and_the_matrix_completes() {
     let _g = env_lock().lock().unwrap_or_else(|e| e.into_inner());
-    clear_caches();
-    drain_failures();
-    // Hang exactly the LU point (a runaway simulation that ignores its
-    // cycle budget); the supervisor must abandon it on wall clock and
-    // still finish the FFT point.
-    std::env::set_var("FLASH_INJECT_HANG", "app: \"LU\", procs: 2, scale: 62");
-    let t0 = Instant::now();
-    let ran = prefetch_supervised(
-        &[run_job("LU", 62), run_job("FFT", 62)],
-        2,
-        &SuperviseOptions {
-            timeout: Some(Duration::from_millis(300)),
-            retries: 1,
-        },
-    );
-    std::env::remove_var("FLASH_INJECT_HANG");
-    assert_eq!(ran, 2);
-    assert!(
-        t0.elapsed() < Duration::from_secs(60),
-        "supervisor must not wait out the hour-long hang"
-    );
-    let failures = drain_failures();
-    assert_eq!(failures.len(), 1, "{failures:?}");
-    assert!(failures[0].key.contains("LU"));
-    assert!(failures[0].error.contains("timed out"));
-    assert_eq!(failures[0].attempts, 2, "the overdue attempt was retried");
-    // The healthy point completed and is cached.
-    assert_eq!(
-        prefetch_supervised(&[run_job("FFT", 62)], 2, &SuperviseOptions::from_env()),
-        0
-    );
+    for (workers, scale) in POOLS {
+        clear_caches();
+        drain_failures();
+        // Hang exactly the LU point (a runaway simulation that ignores its
+        // cycle budget); the supervisor must abandon it on wall clock and
+        // still finish the FFT point — at every worker count.
+        std::env::set_var(
+            "FLASH_INJECT_HANG",
+            format!("app: \"LU\", procs: 2, scale: {scale}"),
+        );
+        let t0 = Instant::now();
+        let ran = prefetch_supervised(
+            &[run_job("LU", scale), run_job("FFT", scale)],
+            workers,
+            &SuperviseOptions {
+                timeout: Some(Duration::from_millis(300)),
+                retries: 1,
+            },
+        );
+        std::env::remove_var("FLASH_INJECT_HANG");
+        assert_eq!(ran, 2);
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "workers={workers}: supervisor must not wait out the hour-long hang"
+        );
+        let failures = drain_failures();
+        assert_eq!(failures.len(), 1, "workers={workers}: {failures:?}");
+        assert!(failures[0].key.contains("LU"));
+        assert!(failures[0].error.contains("timed out"));
+        assert_eq!(failures[0].attempts, 2, "the overdue attempt was retried");
+        // The healthy point completed and is cached.
+        assert_eq!(
+            prefetch_supervised(
+                &[run_job("FFT", scale)],
+                workers,
+                &SuperviseOptions::from_env()
+            ),
+            0
+        );
+    }
 }
 
 #[test]

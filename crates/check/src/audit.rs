@@ -9,7 +9,6 @@ use crate::Violation;
 use flash_engine::NodeId;
 use flash_protocol::dir::{entry_addr, DirHeader, PtrEntry, DEFAULT_PS_CAPACITY, FREE_HEAD_ADDR};
 use flash_protocol::ProtoMem;
-use std::collections::HashMap;
 
 /// Walks the sharer list of the header at `diraddr`, bounded by the
 /// pointer-store capacity. `Err` means the list does not terminate (a
@@ -146,8 +145,11 @@ pub fn check_pointer_store<'a>(
     node: u16,
 ) -> Vec<Violation> {
     let mut v = Vec::new();
-    // Entry index -> first place we reached it from (diraddr, or 0 = free list).
-    let mut seen: HashMap<u16, u64> = HashMap::new();
+    // Entry index -> first place we reached it from (diraddr, or 0 = free
+    // list), dense over every `u16` index the links can hold. Directory
+    // header addresses are 8-aligned, so `UNSEEN` is never a real place.
+    const UNSEEN: u64 = u64::MAX;
+    let mut seen = vec![UNSEEN; 1 << 16];
     let mut listed = 0usize;
 
     for &da in touched_diraddrs {
@@ -155,7 +157,8 @@ pub fn check_pointer_store<'a>(
         let mut idx = h.head();
         let mut steps: u32 = 0;
         while idx != 0 && idx <= DEFAULT_PS_CAPACITY && steps <= DEFAULT_PS_CAPACITY as u32 {
-            if let Some(&prev) = seen.get(&idx) {
+            let prev = seen[idx as usize];
+            if prev != UNSEEN {
                 v.push(Violation {
                     kind: "dir-entry-aliased",
                     node,
@@ -171,7 +174,7 @@ pub fn check_pointer_store<'a>(
                 });
                 break;
             }
-            seen.insert(idx, da);
+            seen[idx as usize] = da;
             listed += 1;
             idx = PtrEntry(mem.load64(entry_addr(idx))).next();
             steps += 1;
@@ -182,7 +185,8 @@ pub fn check_pointer_store<'a>(
     let mut idx = mem.load64(FREE_HEAD_ADDR) as u16;
     let mut steps: u32 = 0;
     while idx != 0 && steps <= DEFAULT_PS_CAPACITY as u32 {
-        if let Some(&prev) = seen.get(&idx) {
+        let prev = seen[idx as usize];
+        if prev != UNSEEN {
             v.push(Violation {
                 kind: "dir-entry-aliased",
                 node,
@@ -193,7 +197,7 @@ pub fn check_pointer_store<'a>(
             });
             break;
         }
-        seen.insert(idx, 0);
+        seen[idx as usize] = 0;
         free += 1;
         idx = PtrEntry(mem.load64(entry_addr(idx))).next();
         steps += 1;
@@ -327,5 +331,54 @@ mod tests {
         }
         let v = check_pointer_store(&m, [&da], 8, 0);
         assert!(v.iter().any(|x| x.kind == "dir-entry-aliased"), "{v:?}");
+    }
+
+    #[test]
+    fn alias_and_leak_messages_are_stable() {
+        let da = dir_addr(Addr::new(0x2000));
+        let db = dir_addr(Addr::new(0x2080));
+        // One entry on two sharer lists.
+        let mut m = mem_with(8);
+        {
+            let mut d = Directory::new(&mut m);
+            let e = d.alloc_entry().unwrap();
+            d.set_entry(e, PtrEntry::new(NodeId(1), 0));
+            d.set_header(da, DirHeader::default().with_head(e));
+            d.set_header(db, DirHeader::default().with_head(e));
+        }
+        let v = check_pointer_store(&m, [&da, &db], 8, 2);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(
+            v[0].to_string(),
+            "[dir-entry-aliased] node n2 line 0x2080: pointer-store entry 1 reachable \
+             from header 0x100000208 and header 0x100000200"
+        );
+        // A listed entry freed while still linked.
+        let mut m = mem_with(8);
+        {
+            let mut d = Directory::new(&mut m);
+            let e = d.alloc_entry().unwrap();
+            d.set_header(da, DirHeader::default().with_head(e));
+            d.free_entry(e);
+        }
+        let v = check_pointer_store(&m, [&da], 8, 2);
+        assert_eq!(
+            v.iter().map(ToString::to_string).collect::<Vec<_>>(),
+            [
+                "[dir-entry-aliased] node n2 line 0x0: pointer-store entry 1 on the free \
+                 list and reachable from header 0x100000200"
+            ]
+        );
+        // A leaked entry.
+        let mut m = mem_with(8);
+        Directory::new(&mut m).alloc_entry().unwrap();
+        let v = check_pointer_store(&m, [&da], 8, 2);
+        assert_eq!(
+            v.iter().map(ToString::to_string).collect::<Vec<_>>(),
+            [
+                "[ptr-store-leak] node n2 line 0x0: pointer-store conservation broken: \
+                 7 free + 0 listed != capacity 8"
+            ]
+        );
     }
 }

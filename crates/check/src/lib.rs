@@ -11,9 +11,12 @@
 //!   well-formedness (termination, in-range indices), free-list health,
 //!   and pointer-store conservation (no leaked or aliased entries);
 //! * [`oracle`] — a differential oracle that replays every PP handler
-//!   invocation through the native Rust protocol on a snapshot of the
-//!   same protocol memory and diffs the directory mutation and outgoing
-//!   message multiset;
+//!   invocation through the native Rust protocol on the same
+//!   pre-invocation protocol memory and diffs the directory mutation and
+//!   outgoing message multiset. The replay rolls the memory back through
+//!   its undo journal and compares only the words either side stored,
+//!   which equals a whole-memory diff because every other word is the
+//!   pre-state on both sides;
 //! * [`stress`] — a seeded random traffic generator ([`flash_engine::DetRng`])
 //!   that drives the checks across mesh sizes.
 //!

@@ -442,8 +442,10 @@ impl MagicChip {
     }
 
     /// Turns on the differential native-vs-PP oracle (checked mode): every
-    /// subsequent handler invocation is replayed through the native
-    /// protocol on a snapshot of this chip's protocol memory and diffed.
+    /// subsequent handler invocation runs with the protocol memory's undo
+    /// journal armed, is rolled back and replayed through the native
+    /// protocol on the same memory, and is diffed over the words either
+    /// side stored; the PP's post state is then restored exactly.
     /// Only meaningful for [`ControllerKind::FlashEmulated`] running the
     /// base coherence protocol (the native oracle does not implement the
     /// monitoring protocol's counter writes); no-op otherwise.
@@ -739,9 +741,12 @@ impl MagicChip {
             pre_drift += (r.first_dword - pp_start) + self.timings.mdc_fill_extra;
         }
 
-        // Checked mode: snapshot the protocol memory so the oracle can
-        // replay this invocation through the native protocol afterwards.
-        let pre = self.oracle.as_ref().map(|_| self.proto.clone());
+        // Checked mode: journal the PP's stores so the oracle can roll the
+        // protocol memory back and replay this invocation through the
+        // native protocol afterwards.
+        if self.oracle.is_some() {
+            self.proto.begin_journal();
+        }
 
         // Scratch state reused across invocations (`take` sidesteps the
         // `&mut self` borrow while the environment holds `self.proto`).
@@ -789,25 +794,13 @@ impl MagicChip {
         });
         self.stats.pp.merge(&run_stats);
 
-        if let Some(pre) = pre {
-            let emu_out: Vec<Outgoing> = sink
+        if let Some(st) = self.oracle.as_mut() {
+            let node = self.node;
+            let emu_out = sink
                 .effects()
                 .iter()
-                .filter_map(|te| effect_to_outgoing(&te.kind, self.node))
-                .collect();
-            let verdict = flash_check::diff_invocation(
-                &msg,
-                pre,
-                &self.proto,
-                &emu_out,
-                handler,
-                self.node.0,
-            );
-            let st = self.oracle.as_mut().expect("oracle enabled");
-            st.checked += 1;
-            if let Some(v) = verdict {
-                st.violations.push(v);
-            }
+                .filter_map(|te| effect_to_outgoing(&te.kind, node));
+            st.check(&msg, &mut self.proto, emu_out, handler, node.0);
         }
 
         let mut drift = pre_drift;

@@ -5,7 +5,16 @@
 //! sparse byte-addressed memory that the PP reaches through the MAGIC data
 //! cache. The sparse paging keeps multi-gigabyte directory spans cheap to
 //! host.
+//!
+//! A handler touches only a few words of that memory, so the memory can
+//! keep an optional undo journal ([`ProtoMem::begin_journal`]): every
+//! store records its word's previous value, and [`ProtoMem::rollback`]
+//! restores the memory, pages included, to the state it had when the
+//! journal was armed. The differential oracle uses it to replay one
+//! handler invocation twice on the same memory at a cost proportional
+//! to the words touched.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -56,7 +65,22 @@ impl Hasher for PageHasher {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProtoMem {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES as usize]>, BuildHasherDefault<PageHasher>>,
+    pages: HashMap<u64, Box<Page>, BuildHasherDefault<PageHasher>>,
+    journal: Journal,
+}
+
+type Page = [u8; PAGE_BYTES as usize];
+
+/// The undo log of [`ProtoMem`]: off unless armed, and reused (cleared,
+/// never shrunk) across arm/disarm cycles so a steady-state replay does
+/// not allocate.
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    armed: bool,
+    /// `(aligned word address, value before the store)`, in store order.
+    words: Vec<(u64, u64)>,
+    /// Pages the journaled stores materialized.
+    new_pages: Vec<u64>,
 }
 
 impl ProtoMem {
@@ -88,10 +112,7 @@ impl ProtoMem {
     /// Panics if `addr` is not 8-byte aligned.
     pub fn store64(&mut self, addr: u64, val: u64) {
         assert_eq!(addr % 8, 0, "unaligned store64 at {addr:#x}");
-        let page = self
-            .pages
-            .entry(addr / PAGE_BYTES)
-            .or_insert_with(|| Box::new([0; PAGE_BYTES as usize]));
+        let page = self.page_for_store(addr);
         let o = (addr % PAGE_BYTES) as usize;
         page[o..o + 8].copy_from_slice(&val.to_le_bytes());
     }
@@ -119,12 +140,92 @@ impl ProtoMem {
     /// Panics if `addr` is not 4-byte aligned.
     pub fn store32(&mut self, addr: u64, val: u32) {
         assert_eq!(addr % 4, 0, "unaligned store32 at {addr:#x}");
-        let page = self
-            .pages
-            .entry(addr / PAGE_BYTES)
-            .or_insert_with(|| Box::new([0; PAGE_BYTES as usize]));
+        let page = self.page_for_store(addr);
         let o = (addr % PAGE_BYTES) as usize;
         page[o..o + 4].copy_from_slice(&val.to_le_bytes());
+    }
+
+    /// The page holding `addr`, materialized if absent. With the journal
+    /// armed, also logs the previous value of the aligned word holding
+    /// `addr` (a `store32` logs its containing word) and any page this
+    /// store materializes.
+    #[inline]
+    fn page_for_store(&mut self, addr: u64) -> &mut Page {
+        let j = &mut self.journal;
+        let page = match self.pages.entry(addr / PAGE_BYTES) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                if j.armed {
+                    j.new_pages.push(addr / PAGE_BYTES);
+                }
+                e.insert(Box::new([0; PAGE_BYTES as usize]))
+            }
+        };
+        if j.armed {
+            let word = addr & !7;
+            let o = (word % PAGE_BYTES) as usize;
+            let old = u64::from_le_bytes(page[o..o + 8].try_into().expect("in page"));
+            j.words.push((word, old));
+        }
+        page
+    }
+
+    /// Arms the undo journal, discarding any previous log: from here on
+    /// every store is recorded until [`ProtoMem::rollback`].
+    pub fn begin_journal(&mut self) {
+        self.journal.words.clear();
+        self.journal.new_pages.clear();
+        self.journal.armed = true;
+    }
+
+    /// Whether the undo journal is armed.
+    pub fn journaling(&self) -> bool {
+        self.journal.armed
+    }
+
+    /// The journaled stores since [`ProtoMem::begin_journal`], in store
+    /// order: `(aligned word address, value before the store)`. A word
+    /// stored twice appears twice.
+    pub fn journal(&self) -> &[(u64, u64)] {
+        &self.journal.words
+    }
+
+    /// Undoes every journaled store and drops every page they
+    /// materialized, returning the memory word for word and page for page
+    /// to its state at [`ProtoMem::begin_journal`]; then disarms the
+    /// journal.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use flash_protocol::mem::ProtoMem;
+    ///
+    /// let mut m = ProtoMem::new();
+    /// m.store64(0x1000, 7);
+    /// m.begin_journal();
+    /// m.store64(0x1000, 8);
+    /// m.store32(0x9_0004, 9);
+    /// assert_eq!(m.resident_pages(), 2);
+    /// m.rollback();
+    /// assert_eq!(m.load64(0x1000), 7);
+    /// assert_eq!(m.load32(0x9_0004), 0);
+    /// assert_eq!(m.resident_pages(), 1);
+    /// ```
+    pub fn rollback(&mut self) {
+        let j = &mut self.journal;
+        for &(word, old) in j.words.iter().rev() {
+            let page = self
+                .pages
+                .get_mut(&(word / PAGE_BYTES))
+                .expect("journaled page is resident");
+            let o = (word % PAGE_BYTES) as usize;
+            page[o..o + 8].copy_from_slice(&old.to_le_bytes());
+        }
+        for p in j.new_pages.drain(..) {
+            self.pages.remove(&p);
+        }
+        j.words.clear();
+        j.armed = false;
     }
 
     /// Number of 4 KB pages materialized (for footprint diagnostics).
@@ -145,7 +246,7 @@ impl ProtoMem {
             .collect();
         pages.sort_unstable();
         pages.dedup();
-        const ZEROS: [u8; PAGE_BYTES as usize] = [0; PAGE_BYTES as usize];
+        const ZEROS: Page = [0; PAGE_BYTES as usize];
         for p in pages {
             let a = self.pages.get(&p).map(|b| &b[..]).unwrap_or(&ZEROS);
             let b = other.pages.get(&p).map(|b| &b[..]).unwrap_or(&ZEROS);
@@ -215,6 +316,32 @@ mod tests {
         // A page materialized with zeros compares equal to an absent page.
         a.store64(0x20_0000, 0);
         assert_eq!(a.first_difference(&b), Some(0x9008));
+    }
+
+    #[test]
+    fn journal_rollback_restores_words_and_pages() {
+        let mut m = ProtoMem::new();
+        m.store64(0x2000, 5);
+        m.store32(0x2010, 6);
+        let before = m.clone();
+        m.begin_journal();
+        assert!(m.journaling());
+        m.store64(0x2000, 1);
+        m.store64(0x2000, 2); // the same word twice: oldest value wins
+        m.store32(0x2014, 3); // logs its containing aligned word
+        m.store64(0x7000, 4); // materializes a page
+        assert_eq!(
+            m.journal(),
+            &[(0x2000, 5), (0x2000, 1), (0x2010, 6), (0x7000, 0)]
+        );
+        assert_eq!(m.resident_pages(), 2);
+        m.rollback();
+        assert!(!m.journaling());
+        assert_eq!(m.first_difference(&before), None);
+        assert_eq!(m.resident_pages(), before.resident_pages());
+        // Disarmed: stores are no longer logged.
+        m.store64(0x2000, 9);
+        assert!(m.journal().is_empty());
     }
 
     #[test]

@@ -219,6 +219,35 @@ fn checked_mode_does_not_perturb_timing() {
 }
 
 #[test]
+fn checked_mode_leaves_no_trace_in_protocol_memory() {
+    // The oracle's replay journals, rolls back and re-applies the PP's
+    // stores on the chip's own protocol memory; afterwards that memory
+    // must be word for word and page for page what an unchecked run
+    // leaves.
+    for (nodes, lines, items, seed) in [(4, 16, 300, 3), (8, 12, 250, 43)] {
+        let base = MachineConfig::flash(nodes);
+        let mut plain = Machine::new(base.clone(), streams(nodes, lines, items, seed));
+        let mut checked = Machine::new(base.with_check(true), streams(nodes, lines, items, seed));
+        let RunResult::Completed { .. } = plain.run(500_000_000) else {
+            panic!("plain run stuck");
+        };
+        let RunResult::Completed { .. } = checked.run(500_000_000) else {
+            panic!("checked run stuck");
+        };
+        assert!(checked.oracle_checked() > 0);
+        for (a, b) in plain.chips().iter().zip(checked.chips()) {
+            let (pa, pb) = (a.proto_mem(), b.proto_mem());
+            assert_eq!(
+                pa.first_difference(pb),
+                None,
+                "mesh {nodes}: protocol memory differs"
+            );
+            assert_eq!(pa.resident_pages(), pb.resident_pages(), "mesh {nodes}");
+        }
+    }
+}
+
+#[test]
 fn monitoring_disarms_oracle_but_keeps_invariants() {
     // The monitoring variant's handlers write counters the native oracle
     // does not model, so the differential is disabled; the machine-level
